@@ -210,9 +210,10 @@ def _op_explain_batch(
 
 
 def _op_explain(state: ShardState, lid: Any) -> list:
-    # Only the owning shard can hold the lid (shard logs are disjoint);
-    # answering from the cached lid universe keeps the scatter O(1) on
-    # every non-owner instead of O(templates) point queries.
+    # Only the owning shard can hold the lid (shard logs are disjoint).
+    # With warm template caches the engine answers a non-owner with no
+    # query by itself; the universe check keeps that true when
+    # eager_warm is off and the template caches are cold.
     if lid not in state.engine.all_lids():
         return []
     return state.engine.explain(lid)

@@ -20,9 +20,10 @@ maintenance stack end to end: the log table patches its hash indexes and
 distinct projections in place (:meth:`repro.db.table.Table.insert`), the
 engine delta-evaluates every template against just the new row
 (:meth:`~repro.core.engine.ExplanationEngine.notify_appended`), and the
-per-access explanation itself is a point query the executor answers via
-index probes.  Total work per ingest is O(templates) point queries,
-independent of log size.  ``incremental=False`` restores the seed
+per-access explanation itself runs a point query (answered via index
+probes) only for the templates whose patched explained set holds the new
+row.  Total work per ingest is O(templates) point queries, independent
+of log size.  ``incremental=False`` restores the seed
 behavior — invalidate every cache and re-derive from scratch — and exists
 as the baseline for ``benchmarks/bench_streaming_ingest.py``.
 

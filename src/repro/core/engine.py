@@ -15,9 +15,14 @@ hand-crafted (Section 5.3.1) or mined (Section 3) — the engine answers:
 
 Three evaluation paths
 ----------------------
-* **point** — :meth:`ExplanationEngine.explain` pins one log id into each
+* **point** — :meth:`ExplanationEngine.explain` pins one log id into a
   template's query; the executor answers via index probes.  Right for
-  rendering the explanation *instances* of a single access.
+  rendering the explanation *instances* of a single access.  Once the
+  caches below are warm, only the templates whose explained set holds
+  the id run: an explained access costs one query per template that
+  explains it (2.0 on average on the seed-7 benchmark world, against 11
+  templates), and an unexplained or unknown id costs none.  A template
+  whose cache is cold runs its query regardless.
 * **delta-streaming** — :meth:`ExplanationEngine.notify_appended` patches
   the cached explained/unexplained sets with one point query per
   (template, log-ranging tuple variable) after an append.  Right for
@@ -48,6 +53,16 @@ log-id universe).  Two maintenance paths exist after the log grows:
   full rebuild on next read.  It remains the correct call after
   *destructive* changes (row deletion, table replacement), which delta
   maintenance deliberately does not model.
+
+The point path reads these caches, so every write the engine is not
+told about must be followed by :meth:`ExplanationEngine.invalidate_cache`.
+That includes plain inserts made outside :meth:`notify_appended`, into
+the log or into an event table: until the call, a warm engine keeps
+answering from the old sets (pinned by
+``tests/test_property_incremental.py``).  Sets cached for templates that
+are not registered (support counting, :meth:`explained_lids` on any
+template) are dropped by the next :meth:`notify_appended`, since only
+registered templates are delta-maintained.
 """
 
 from __future__ import annotations
@@ -59,11 +74,73 @@ from typing import Any
 from ..db.backend import AnyDatabase, ExecutorProtocol, make_executor
 from ..db.query import AttrRef, Condition, ConjunctiveQuery, Literal
 from .instance import ExplanationInstance, rank_instances
-from .template import ExplanationTemplate, dedupe_templates
+from .template import ExplanationTemplate
 
 #: Batches at least this large take the semijoin path when
 #: :meth:`ExplanationEngine.notify_appended_many` auto-selects a strategy.
 SEMIJOIN_BATCH_MIN = 8
+
+
+@dataclass(frozen=True)
+class _Prepared:
+    """A registered template's per-call constants, built once per
+    template set and shared by the point, batch, and delta paths.
+
+    ``instance_query`` is the lid-free instance query; :meth:`pinned`
+    appends the one condition that varies per access, on ``lid_ref``,
+    exactly as :meth:`ExplanationTemplate.instance_query` would.
+    ``names`` and ``lid_pos`` describe its result columns (both executors
+    return the query's projection as the columns).  ``log_refs`` are the
+    log-id attributes of every tuple variable ranging over the log table
+    — the variables the delta paths restrict.
+    """
+
+    template: ExplanationTemplate
+    sig: tuple
+    support_query: ConjunctiveQuery
+    instance_query: ConjunctiveQuery
+    names: tuple[str, ...]
+    lid_pos: int
+    lid_ref: AttrRef
+    log_refs: tuple[AttrRef, ...]
+
+    @classmethod
+    def build(
+        cls,
+        template: ExplanationTemplate,
+        sig: tuple,
+        log_table: str,
+        log_id_attr: str,
+    ) -> "_Prepared":
+        support = template.support_query()
+        query = template.instance_query()
+        return cls(
+            template=template,
+            sig=sig,
+            support_query=support,
+            instance_query=query,
+            names=tuple(str(c) for c in query.projection),
+            lid_pos=query.projection.index(AttrRef("L", log_id_attr)),
+            lid_ref=AttrRef("L", template.log_id_attr),
+            log_refs=tuple(
+                AttrRef(var.alias, log_id_attr)
+                for var in support.tuple_vars
+                if var.table == log_table
+            ),
+        )
+
+    def pinned(self, lid: Any) -> ConjunctiveQuery:
+        """The instance query restricted to one log record (unrestricted
+        for ``None``, as :meth:`ExplanationTemplate.instance_query`)."""
+        if lid is None:
+            return self.instance_query
+        query = self.instance_query
+        return ConjunctiveQuery(
+            query.tuple_vars,
+            query.conditions + (Condition(self.lid_ref, "=", Literal(lid)),),
+            query.projection,
+            query.distinct,
+        )
 
 
 @dataclass(frozen=True)
@@ -129,7 +206,7 @@ class ExplanationEngine:
         # recompute per streamed access; the aggregates are patched in
         # place by notify_appended).
         self._signatures: dict[ExplanationTemplate, tuple] = {}
-        self._deduped: tuple[ExplanationTemplate, ...] | None = None
+        self._prepared: tuple[_Prepared, ...] | None = None
         # (row_count, keys, (key, row) pairs) — owned by
         # repro.core.scan.LogScanner, declared here so the strict scan
         # module may assign it.
@@ -153,16 +230,29 @@ class ExplanationEngine:
         explain accesses no existing template did.
         """
         self._templates.append(template)
-        self._deduped = None
+        self._prepared = None
         self._all_explained = None
         self._unexplained = None
 
     @property
     def templates(self) -> tuple[ExplanationTemplate, ...]:
         """The registered templates, deduplicated by condition-set signature."""
-        if self._deduped is None:
-            self._deduped = tuple(dedupe_templates(self._templates))
-        return self._deduped
+        return tuple(p.template for p in self._prepared_templates())
+
+    def _prepared_templates(self) -> tuple[_Prepared, ...]:
+        """One :class:`_Prepared` per registered template
+        (deduplicated by signature, first occurrence kept), rebuilt only
+        when the template set changes."""
+        if self._prepared is None:
+            out: dict[tuple, _Prepared] = {}
+            for template in self._templates:
+                sig = self._sig(template)
+                if sig not in out:
+                    out[sig] = _Prepared.build(
+                        template, sig, self.log_table, self.log_id_attr
+                    )
+            self._prepared = tuple(out.values())
+        return self._prepared
 
     def _sig(self, template: ExplanationTemplate) -> tuple:
         """Memoized template signature (the per-template cache key)."""
@@ -252,18 +342,30 @@ class ExplanationEngine:
     # ------------------------------------------------------------------
     def explain(self, lid: Any) -> list[ExplanationInstance]:
         """Every explanation instance for one log record, ranked in
-        ascending order of path length (paper Section 2.1)."""
+        ascending order of path length (paper Section 2.1).
+
+        Once the log-id universe is warm, a template whose explained-set
+        cache is warm and lacks ``lid`` cannot match it and costs no
+        query: an explained access runs only the templates that explain
+        it, and an access outside every warm set (unexplained, or absent
+        from the log) costs zero queries.  Cold templates run their
+        point query as before.  ``lid=None`` pins nothing and runs every
+        template over the whole log.
+        """
+        warm = self._all_lids is not None and lid is not None
         instances: list[ExplanationInstance] = []
-        for template in self.templates:
-            query = template.instance_query(lid=lid)
-            result = self.executor.execute(query)
-            lid_pos = result.column_position(AttrRef("L", self.log_id_attr))
-            names = [str(c) for c in result.columns]
+        for prep in self._prepared_templates():
+            if warm:
+                cached = self._lid_cache.get(prep.sig)
+                if cached is not None and lid not in cached:
+                    continue
+            result = self.executor.execute(prep.pinned(lid))
             for row in result.rows:
-                bindings = dict(zip(names, row))
                 instances.append(
                     ExplanationInstance(
-                        template=template, lid=row[lid_pos], bindings=bindings
+                        template=prep.template,
+                        lid=row[prep.lid_pos],
+                        bindings=dict(zip(prep.names, row)),
                     )
                 )
         return rank_instances(instances)
@@ -301,17 +403,16 @@ class ExplanationEngine:
         target = AttrRef("L", self.log_id_attr)
         covers_all = batch >= self.all_lids()
         explained: set = set()
-        for template in self.templates:
-            key = self._sig(template)
-            cached = self._lid_cache.get(key)
+        for prep in self._prepared_templates():
+            cached = self._lid_cache.get(prep.sig)
             if cached is not None:
                 hits = batch & cached
             else:
                 hits = self.executor.distinct_values_in(
-                    template.support_query(), target, target, batch
+                    prep.support_query, target, target, batch
                 )
                 if covers_all:
-                    self._lid_cache[key] = set(hits)
+                    self._lid_cache[prep.sig] = set(hits)
             explained |= hits
             if len(explained) == len(batch):
                 break
@@ -385,31 +486,30 @@ class ExplanationEngine:
             self._all_lids.update(lids)
         batch = set(lids)
         target = AttrRef("L", self.log_id_attr)
+        prepared = self._prepared_templates()
+        # Sets cached for templates evaluated while unregistered (support
+        # counting, explained_lids) are not patched below: drop them so
+        # no later read or add_template adopts a pre-append set.
+        registered = {prep.sig for prep in prepared}
+        for key in [k for k in self._lid_cache if k not in registered]:
+            del self._lid_cache[key]
         newly: set = set()
-        for template in self.templates:
-            key = self._sig(template)
-            cached = self._lid_cache.get(key)
+        for prep in prepared:
+            cached = self._lid_cache.get(prep.sig)
             if cached is None:
                 # Never evaluated: warm over the full log (which already
                 # contains the new rows); one-time cost, delta thereafter.
-                self._lid_cache[key] = self.explained_lids(template)
-                newly |= self._lid_cache[key]
+                newly |= self.explained_lids(prep.template)
                 continue
             delta: set = set()
             if use_semijoin:
-                query = template.support_query()
-                for var in query.tuple_vars:
-                    if var.table != self.log_table:
-                        continue
+                for ref in prep.log_refs:
                     delta |= self.executor.distinct_values_in(
-                        query,
-                        target,
-                        AttrRef(var.alias, self.log_id_attr),
-                        batch,
+                        prep.support_query, target, ref, batch
                     )
             else:
                 for lid in lids:
-                    for restricted in self._point_queries(template, lid):
+                    for restricted in self._point_queries(prep, lid):
                         delta |= self.executor.distinct_values(restricted, target)
             delta -= cached
             cached |= delta
@@ -423,9 +523,8 @@ class ExplanationEngine:
             )
         return newly
 
-    def _point_queries(
-        self, template: ExplanationTemplate, lid: Any
-    ) -> list[ConjunctiveQuery]:
+    @staticmethod
+    def _point_queries(prep: _Prepared, lid: Any) -> list[ConjunctiveQuery]:
         """The template's support query pinned to one appended log row.
 
         One restriction per tuple variable ranging over the log table: an
@@ -433,21 +532,16 @@ class ExplanationEngine:
         them, so the union of these point queries is exactly the append's
         delta (conjunctive queries are monotone under inserts).
         """
-        query = template.support_query()
-        out = []
-        for var in query.tuple_vars:
-            if var.table != self.log_table:
-                continue
-            pin = Condition(AttrRef(var.alias, self.log_id_attr), "=", Literal(lid))
-            out.append(
-                ConjunctiveQuery.build(
-                    query.tuple_vars,
-                    query.conditions + (pin,),
-                    query.projection,
-                    query.distinct,
-                )
+        query = prep.support_query
+        return [
+            ConjunctiveQuery(
+                query.tuple_vars,
+                query.conditions + (Condition(ref, "=", Literal(lid)),),
+                query.projection,
+                query.distinct,
             )
-        return out
+            for ref in prep.log_refs
+        ]
 
     def invalidate_cache(self) -> None:
         """Drop every cached set, forcing a full rebuild on next read.

@@ -42,14 +42,17 @@ pins.
 Values cross the wire through :func:`encode_value`/:func:`decode_value`:
 booleans ride as 0/1 integers, datetimes as ISO-8601 text (``isoformat``
 pads microseconds, so lexicographic order equals chronological order and
-range conditions on DATE columns stay correct).
+range conditions on DATE columns stay correct).  Parameters compared
+against a column bind through :func:`encode_param`, which keeps SQL
+comparison affinity from equating values the in-memory executor keeps
+apart (``'5'`` and ``5``).
 """
 
 from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from typing import Any
 
 from .errors import QueryError
@@ -102,6 +105,31 @@ def encode_value(value: Any) -> Any:
     if isinstance(value, dt.datetime):
         return value.isoformat()
     return value
+
+
+#: Python types whose values can equal a stored value of each declared
+#: column type under the in-memory executor's (Python) equality.
+_DOMAIN: dict[ColumnType, tuple[type, ...]] = {
+    ColumnType.INT: (int, float),
+    ColumnType.FLOAT: (int, float),
+    ColumnType.BOOL: (int, float),
+    ColumnType.STR: (str,),
+    ColumnType.DATE: (dt.datetime,),
+}
+
+
+def encode_param(value: Any, ctype: ColumnType) -> Any:
+    """Encode one parameter compared against a column of type ``ctype``.
+
+    A value outside the column's domain never equals a stored value in
+    memory, but SQL comparison affinity would convert it (``'5'`` against
+    an INTEGER column, ``5`` against a TEXT one) and match.  Such a value
+    binds as a BLOB, which affinity leaves alone and which equals no
+    INTEGER, REAL or TEXT value.
+    """
+    if value is not None and not isinstance(value, _DOMAIN[ctype]):
+        return repr(value).encode()
+    return encode_value(value)
 
 
 def decode_value(value: Any, ctype: ColumnType) -> Any:
@@ -162,16 +190,32 @@ class CompiledQuery:
 
     ``sql`` may contain :data:`IN_MARKER` (when ``has_in_marker`` is
     True); the driver replaces it with ``?`` placeholders per binding
-    chunk.  ``param_count`` counts the query's own literal parameters —
-    binding-set values always bind *after* them.  ``decoders`` carries
-    the declared column type of each output column so result rows can be
-    decoded back to the Python domain.
+    chunk.  ``param_types`` is the declared type of the column each of
+    the query's own literal parameters is compared against — binding-set
+    values always bind *after* them, against ``in_type``.  ``decoders``
+    carries the declared column type of each output column so result
+    rows can be decoded back to the Python domain.
     """
 
     sql: str
-    param_count: int
+    param_types: tuple[ColumnType, ...]
     decoders: tuple[ColumnType, ...]
     has_in_marker: bool = False
+    in_type: ColumnType | None = None
+
+    def params(self, query: ConjunctiveQuery) -> tuple[Any, ...]:
+        """The encoded literal parameters of ``query`` (a query of the
+        compiled shape), in condition order — exactly the order
+        :func:`_render_condition` emits placeholders."""
+        values = [
+            c.right.value for c in query.conditions if isinstance(c.right, Literal)
+        ]
+        return tuple(map(encode_param, values, self.param_types))
+
+    def in_params(self, values: Iterable[Any]) -> list[Any]:
+        """The encoded binding-set values of the batch-semijoin form."""
+        assert self.in_type is not None
+        return [encode_param(v, self.in_type) for v in values]
 
 
 def _alias_tables(query: ConjunctiveQuery) -> dict[str, str]:
@@ -255,16 +299,6 @@ def _render_condition(cond: Condition) -> str:
     return f"{left} {cond.op} {right}"
 
 
-def condition_params(query: ConjunctiveQuery) -> tuple[Any, ...]:
-    """The encoded literal parameters of a query, in condition order —
-    exactly the order :func:`_render_condition` emits placeholders."""
-    return tuple(
-        encode_value(cond.right.value)
-        for cond in query.conditions
-        if isinstance(cond.right, Literal)
-    )
-
-
 def _where_clause(query: ConjunctiveQuery, in_attr: AttrRef | None) -> str:
     terms = [_render_condition(c) for c in query.conditions]
     if in_attr is not None:
@@ -286,8 +320,14 @@ def _decoder_for(
     return schemas[table].column(ref.attr).ctype
 
 
-def _param_count(query: ConjunctiveQuery) -> int:
-    return sum(1 for c in query.conditions if isinstance(c.right, Literal))
+def _param_types(
+    query: ConjunctiveQuery, schemas: Mapping[str, TableSchema]
+) -> tuple[ColumnType, ...]:
+    return tuple(
+        _decoder_for(c.left, query, schemas)
+        for c in query.conditions
+        if isinstance(c.right, Literal)
+    )
 
 
 def compile_execute(
@@ -316,7 +356,7 @@ def compile_execute(
     sql = f"{head} {cols} {frm}{_where_clause(query, None)}"
     return CompiledQuery(
         sql=sql,
-        param_count=_param_count(query),
+        param_types=_param_types(query, schemas),
         decoders=tuple(
             _decoder_for(r, query, schemas) for r in query.projection
         ),
@@ -342,7 +382,7 @@ def compile_distinct_values(
     sql = f"SELECT DISTINCT {col} {frm}{_where_clause(query, None)}"
     return CompiledQuery(
         sql=sql,
-        param_count=_param_count(query),
+        param_types=_param_types(query, schemas),
         decoders=(_decoder_for(attr, query, schemas),),
     )
 
@@ -365,7 +405,7 @@ def compile_count_distinct(
     )
     return CompiledQuery(
         sql=f"SELECT COUNT(*) FROM ({inner.sql})",
-        param_count=inner.param_count,
+        param_types=inner.param_types,
         decoders=(ColumnType.INT,),
     )
 
@@ -394,7 +434,8 @@ def compile_distinct_values_in(
     sql = f"SELECT DISTINCT {col} {frm}{_where_clause(query, in_attr)}"
     return CompiledQuery(
         sql=sql,
-        param_count=_param_count(query),
+        param_types=_param_types(query, schemas),
         decoders=(_decoder_for(attr, query, schemas),),
         has_in_marker=True,
+        in_type=_decoder_for(in_attr, query, schemas),
     )

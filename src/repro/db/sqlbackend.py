@@ -49,8 +49,8 @@ from .dialect import (
     compile_distinct_values,
     compile_distinct_values_in,
     compile_execute,
-    condition_params,
     decode_value,
+    encode_param,
     encode_value,
     quote_ident,
 )
@@ -209,7 +209,8 @@ class SqlTable:
             rows = self.driver.execute(f"{base} IS NULL ORDER BY rowid")
         else:
             rows = self.driver.execute(
-                f"{base} = ? ORDER BY rowid", (encode_value(value),)
+                f"{base} = ? ORDER BY rowid",
+                (encode_param(value, self.schema.column(column).ctype),),
             )
         return _decode_rows(rows, self._decoders)
 
@@ -386,7 +387,7 @@ class SqlExecutor:
         self.queries_executed += 1
         self._validate(query)
         compiled = self._compiled("execute", query)
-        rows = self.db.driver.execute(compiled.sql, condition_params(query))
+        rows = self.db.driver.execute(compiled.sql, compiled.params(query))
         return QueryResult(
             tuple(query.projection), _decode_rows(rows, compiled.decoders)
         )
@@ -400,7 +401,7 @@ class SqlExecutor:
         self.queries_executed += 1
         self._validate(query)
         compiled = self._compiled("count", query, attr=target)
-        rows = self.db.driver.execute(compiled.sql, condition_params(query))
+        rows = self.db.driver.execute(compiled.sql, compiled.params(query))
         return int(rows[0][0])
 
     def distinct_values(
@@ -411,7 +412,7 @@ class SqlExecutor:
         self.queries_executed += 1
         self._validate(query)
         compiled = self._compiled("values", query, attr=target)
-        rows = self.db.driver.execute(compiled.sql, condition_params(query))
+        rows = self.db.driver.execute(compiled.sql, compiled.params(query))
         ctype = compiled.decoders[0]
         return {decode_value(r[0], ctype) for r in rows}
 
@@ -438,8 +439,8 @@ class SqlExecutor:
         compiled = self._compiled("semijoin", query, attr=attr, in_attr=in_attr)
         rows = self.db.driver.execute_batch(
             compiled.sql,
-            condition_params(query),
-            [encode_value(v) for v in values],
+            compiled.params(query),
+            compiled.in_params(values),
         )
         ctype = compiled.decoders[0]
         return {decode_value(r[0], ctype) for r in rows}

@@ -7,6 +7,12 @@ per-access/point machinery would, on arbitrary interleavings of appends;
 the per-row point strategy; and the plan cache never re-plans a repeated
 template shape while staying correct as tables grow underneath a cached
 plan.
+
+The point path rides the same caches: once warm, ``explain(lid)`` runs
+only the templates whose explained set holds ``lid``.  It must answer
+exactly as a cold engine (which runs every template's point query) on
+every lid of a simulated world plus foreign-typed ids, on both storage
+backends, across interleaved writes — at the query counts pinned here.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import random
 
 import pytest
 
+from repro.api import AuditConfig, AuditService, standard_templates
 from repro.audit import AccessMonitor
 from repro.audit.handcrafted import (
     event_group_template,
@@ -25,6 +32,7 @@ from repro.core import ExplanationEngine
 from repro.core.engine import BatchExplanation
 from repro.db import ColumnType, Database, TableSchema
 from repro.db.optimizer import PlanCache
+from repro.ehr import SimulationConfig, simulate
 
 USERS = ["Dave", "Nick", "Ron", "Eve", "Sam", "Zed"]
 PATIENTS = ["Alice", "Bob", "Carol"]
@@ -327,3 +335,152 @@ def test_plan_cache_eviction_and_stats():
     assert stats["misses"] >= 3
     cache.clear()
     assert len(cache) == 0 and cache.stats()["hits"] == 0
+
+
+# ----------------------------------------------------------------------
+# point explain reads the warm caches
+# ----------------------------------------------------------------------
+#: Ids no simulated log holds, or holds only under Python equality
+#: (``5.0`` and ``True`` equal the ints 5 and 1); ``None`` pins nothing.
+FOREIGN_LIDS = ("5", 5.0, True, None, -1, 10**9)
+
+
+def _world() -> Database:
+    return simulate(SimulationConfig.tiny(seed=7)).db
+
+
+def _digest(instances) -> list:
+    """Instances down to types: ``repr`` keeps 1/True/1.0 apart."""
+    return [
+        (
+            i.template.display_name(),
+            repr(i.lid),
+            i.render(),
+            sorted((k, repr(v)) for k, v in i.bindings.items()),
+        )
+        for i in instances
+    ]
+
+
+def _assert_point_equals_cold(service: AuditService, lids) -> None:
+    engine = service.engine
+    cold = ExplanationEngine(service.db, engine.templates)
+    for lid in lids:
+        assert _digest(engine.explain(lid)) == _digest(cold.explain(lid)), lid
+    assert cold._all_lids is None and not cold._lid_cache  # stayed cold
+
+
+def _split_off(templates, name: str):
+    """The named template, and the set without it or any same-signature
+    twin (the standard set registers appointments-doctor twice)."""
+    named = next(t for t in templates if t.name == name)
+    sig = named.signature()
+    return named, [t for t in templates if t.signature() != sig]
+
+
+def _replays(service: AuditService, lids) -> list[tuple]:
+    """``(user, patient, date)`` of logged accesses, for re-ingesting."""
+    log = service.db.table("Log")
+    lid_i, user_i, patient_i, date_i = (
+        log.schema.column_index(c) for c in ("Lid", "User", "Patient", "Date")
+    )
+    wanted = set(lids)
+    return [
+        (row[user_i], row[patient_i], row[date_i])
+        for row in log.rows()
+        if row[lid_i] in wanted
+    ]
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_point_explain_on_warm_caches_equals_cold_engine(backend):
+    db = _world()
+    held_out, templates = _split_off(standard_templates(db), "appointments-doctor")
+    with AuditService.open(db, templates, config=AuditConfig(backend=backend)) as service:
+        every = sorted(service.engine.all_lids())
+        assert service.engine._all_lids is not None  # the warm path runs
+        _assert_point_equals_cold(service, every + list(FOREIGN_LIDS))
+
+        def check(extra=()):
+            # None (every template, unpinned) never reads the caches
+            foreign = [lid for lid in FOREIGN_LIDS if lid is not None]
+            _assert_point_equals_cold(service, list(extra) + every[::9] + foreign)
+
+        explained = sorted(service.engine.all_explained_lids())[:4]
+        accesses = _replays(service, explained) + [("nobody", "ghost", None)]
+        new = [r.lid for r in service.ingest_many(accesses)]
+        check(new)
+        service.add_templates([held_out])
+        check(new)
+        if backend == "memory":  # group inference needs the memory backend
+            service.build_groups()
+            service.add_templates(standard_templates(service.db))  # + groups
+            check(new)
+        service.engine.invalidate_cache()
+        check(new)  # cold on both sides
+        new.append(service.ingest("nobody", "ghost").lid)  # re-warms
+        assert service.engine._all_lids is not None
+        check(new)
+
+
+def test_cache_of_unregistered_template_is_not_adopted_stale():
+    """A template evaluated while unregistered, then an ingest it would
+    explain, then registration: the engine must not adopt the pre-ingest
+    explained set (and so lose the new access's instances)."""
+    db = _world()
+    appointments, templates = _split_off(
+        standard_templates(db), "appointments-doctor"
+    )
+    with AuditService.open(db, templates) as service:
+        before = service.explained_lids(appointments)
+        assert service.support_many([appointments]) == [len(before)]
+        (access,) = _replays(service, sorted(before)[:1])
+        lid = service.ingest(*access).lid
+        assert lid in service.explained_lids(appointments)
+        service.add_templates([appointments])
+        assert lid in service.explained_lids(appointments)
+        fresh = AuditService.open(service.db, [*templates, appointments])
+        assert service.explain(lid).to_dict() == fresh.explain(lid).to_dict()
+        assert appointments.name in {
+            view.template for view in service.explain(lid).explanations
+        }
+
+
+# ----------------------------------------------------------------------
+# point explain query counts
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def warm_service():
+    with AuditService.open(_world()) as service:
+        yield service
+
+
+def _spent(engine: ExplanationEngine, lid) -> int:
+    before = engine.executor.queries_executed
+    engine.explain(lid)
+    return engine.executor.queries_executed - before
+
+
+def test_warm_point_explain_queries_only_the_matching_templates(warm_service):
+    engine = warm_service.engine
+    sets = [engine.explained_lids(t) for t in engine.templates]
+    unexplained = engine.unexplained_lids()
+    assert unexplained
+    for lid in sorted(engine.all_lids()):
+        spent = _spent(engine, lid)
+        assert spent == sum(lid in s for s in sets), lid
+        assert (spent == 0) == (lid in unexplained), lid
+
+
+def test_warm_point_explain_of_unexplained_and_absent_ids_is_free(warm_service):
+    executor = warm_service.engine.executor
+    for lid in [*sorted(warm_service.unexplained_lids()), -1, 10**9, "5"]:
+        before = executor.queries_executed
+        assert not warm_service.explain(lid).explained
+        assert executor.queries_executed == before, lid
+
+
+def test_cold_point_explain_queries_every_template(warm_service):
+    cold = ExplanationEngine(warm_service.db, warm_service.templates())
+    for lid in (1, 2, -1):
+        assert _spent(cold, lid) == len(cold.templates)

@@ -6,7 +6,11 @@ cache-building reads, a delta-maintained :class:`~repro.db.table.Table`
 delta-maintained :class:`~repro.core.engine.ExplanationEngine`
 (explained-lid sets, unexplained queue, coverage) must be
 indistinguishable from ones freshly rebuilt over the same final data.
-Seeded random interleavings pin the contract down.
+Seeded random interleavings pin the contract down, and a hypothesis
+property pins the point path that reads those caches: after any
+interleaving of appends, registrations, unregistered-template
+evaluations and invalidations, ``explain`` answers exactly as a cold
+engine does.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.audit.handcrafted import (
     event_group_template,
@@ -324,3 +330,71 @@ def test_invalidate_cache_still_correct_after_external_mutation():
     assert engine.all_lids() == fresh.all_lids()
     assert engine.unexplained_lids() == fresh.unexplained_lids()
     assert engine.coverage() == pytest.approx(fresh.coverage())
+
+
+def test_out_of_band_writes_need_invalidate_cache():
+    """Rows written past notify_appended (straight into the log or an
+    event table) are invisible to the warm point path until
+    invalidate_cache(); then explain gives the fresh answer."""
+    db = _hospital()
+    engine = ExplanationEngine(db, _templates(db))
+    engine.coverage()  # warm
+    assert engine.explain(900) == []  # Eve has no tie to Bob
+    db.table("Appointments").insert(("Bob", "Eve", 3))
+    lid = _append(db, 950, 6, "Eve", "Bob")
+    assert engine.explain(900) == [] and engine.explain(lid) == []  # stale
+    engine.invalidate_cache()
+    engine.coverage()  # warm again, over the current tables
+    fresh = _fresh_engine(db)
+    for probe in (900, lid):
+        assert engine.explain(probe) == fresh.explain(probe) != []
+
+
+# ----------------------------------------------------------------------
+# the point path over warm caches == a cold engine, for any interleaving
+# ----------------------------------------------------------------------
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("append"),
+            st.integers(0, 19),
+            st.sampled_from(USERS[:4]),  # the users with ties to the log
+            st.sampled_from(PATIENTS[:2]),
+        ),
+        st.tuples(st.just("register"), st.integers(0, 2)),
+        st.tuples(st.just("evaluate")),
+        st.tuples(st.just("warm")),
+        st.tuples(st.just("invalidate")),
+    ),
+    max_size=20,
+)
+
+#: Ids the log never holds, or holds only under Python equality.
+_FOREIGN = ("100", 100.0, True, None, -1, 10**9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=_OPS)
+@example(ops=[("evaluate",), ("append", 19, "Dave", "Alice"), ("register", 2)])
+def test_warm_point_explain_equals_cold_engine(ops):
+    db = _hospital()
+    pool = _templates(db)
+    engine = ExplanationEngine(db, pool[:1])
+    engine.coverage()
+    next_lid = 1000
+    for op in ops:
+        if op[0] == "append":
+            _append(db, next_lid, *op[1:])
+            engine.notify_appended(next_lid)
+            next_lid += 1
+        elif op[0] == "register":  # a re-registration is deduplicated
+            engine.add_template(pool[op[1]])
+        elif op[0] == "evaluate":  # mining support: unregistered ones too
+            engine.support_counts(pool)
+        elif op[0] == "warm":
+            engine.unexplained_lids()
+        elif op[0] == "invalidate":
+            engine.invalidate_cache()
+        cold = ExplanationEngine(db, engine.templates)
+        for lid in sorted(db.table("Log").distinct_values("Lid")) + list(_FOREIGN):
+            assert engine.explain(lid) == cold.explain(lid), (op, lid)

@@ -8,6 +8,11 @@ over the same database — for explain_all, coverage, reports, per-access
 explanation, mining support — and stay identical after incremental
 ``ingest_many``/``ingest`` with parent-assigned global log ids.
 
+Per-access explanation is checked on every log id plus foreign-typed
+ids, against the single-node service and against a cold engine (whose
+point path runs every template): the warm caches let a shard answer
+from its explained sets, and only the owning shard issues queries.
+
 The SQLite storage backend rides the same treatment: at shards {1, 2}
 (``open_service`` builds the single-node service at 1) every read and
 ingest surface must match the in-memory reference byte-identically.
@@ -24,6 +29,8 @@ from repro.api import (
     UnsupportedOperationError,
     open_service,
 )
+from repro.api.messages import ExplainResult, ExplanationView
+from repro.core import ExplanationEngine
 from repro.ehr import SimulationConfig, simulate
 
 SHARD_COUNTS = (1, 2, 7)
@@ -59,15 +66,44 @@ def _sample_patients(db, k=3):
     return seen
 
 
+#: Ids no shard holds, or holds only under Python equality (``5.0`` and
+#: ``True`` equal the ints 5 and 1).
+FOREIGN_LIDS = ("5", 5.0, True, -1, 10**9)
+
+
+def _cold_answers(reference, lids) -> list[tuple]:
+    """``(lid, explain envelope)`` pairs from an engine whose caches are
+    all cold (explain never warms one), over the reference's data."""
+    cold = ExplanationEngine(reference.db, reference.templates())
+    out = []
+    for lid in lids:
+        views = tuple(ExplanationView.from_instance(i) for i in cold.explain(lid))
+        out.append((lid, ExplainResult(lid=lid, explanations=views).to_dict()))
+    return out
+
+
+def _assert_explains_identical(service, reference, cold: list[tuple]) -> None:
+    for lid, expected in cold:
+        ours = service.explain(lid).to_dict()
+        assert ours == expected == reference.explain(lid).to_dict(), lid
+
+
 @pytest.fixture(scope="module")
 def reference():
     """The single-node service over the shared read-only world."""
     return AuditService.open(_fresh_db())
 
 
+@pytest.fixture(scope="module")
+def cold_reference(reference):
+    """Cold-engine answers for every logged id plus foreign ones."""
+    every = sorted(reference.engine.all_lids())
+    return _cold_answers(reference, every + list(FOREIGN_LIDS))
+
+
 @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_sharded_reads_identical(reference, shards, kind):
+def test_sharded_reads_identical(reference, cold_reference, shards, kind):
     config = AuditConfig(shards=shards, executor_kind=kind)
     with ShardedAuditService.open(_fresh_db(), config=config) as sharded:
         # aggregate views
@@ -90,9 +126,8 @@ def test_sharded_reads_identical(reference, shards, kind):
             )
             ours_text = sharded.render_patient_report(patient)
             assert ours_text == reference.render_patient_report(patient)
-        # per-access explanation (present and absent ids)
-        for lid in (1, 2, 3, 10**9):
-            assert sharded.explain(lid).to_dict() == reference.explain(lid).to_dict()
+        # per-access explanation: every logged id, plus foreign ones
+        _assert_explains_identical(sharded, reference, cold_reference)
         # batch partition with ids no shard holds
         some = sorted(reference.unexplained_lids())[:5] + [10**9]
         ours = sharded.explain_batch(some)
@@ -108,7 +143,9 @@ def test_sharded_reads_identical(reference, shards, kind):
 
 @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
 @pytest.mark.parametrize("shards", (1, 2))
-def test_sqlite_backend_sharded_reads_identical(reference, shards, kind):
+def test_sqlite_backend_sharded_reads_identical(
+    reference, cold_reference, shards, kind
+):
     """The SQLite backend under sharding: every shard converts its
     partition to a private (in-memory) SQLite database, and every read
     surface stays byte-identical to the single-node memory service."""
@@ -126,8 +163,7 @@ def test_sqlite_backend_sharded_reads_identical(reference, shards, kind):
                 service.patient_report(patient).to_dict()
                 == reference.patient_report(patient).to_dict()
             )
-        for lid in (1, 2, 10**9):
-            assert service.explain(lid).to_dict() == reference.explain(lid).to_dict()
+        _assert_explains_identical(service, reference, cold_reference)
         templates = list(reference.templates())[:4]
         assert service.support_many(templates) == reference.support_many(templates)
 
@@ -151,6 +187,10 @@ def test_sqlite_backend_sharded_ingest_identical(shards):
         assert ours == theirs
         assert service.coverage() == base.coverage()
         assert service.report().to_dict() == base.report().to_dict()
+        every = sorted(base.engine.all_lids())
+        _assert_explains_identical(
+            service, base, _cold_answers(base, every[-12:] + every[::9])
+        )
 
 
 @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
@@ -176,6 +216,9 @@ def test_sharded_ingest_identical(shards, kind):
         assert sharded.coverage() == base.coverage()
         assert sharded.report().to_dict() == base.report().to_dict()
         assert sharded.unexplained_lids() == base.unexplained_lids()
+        every = sorted(base.engine.all_lids())
+        lids = every[-13:] + every[::9] + list(FOREIGN_LIDS)
+        _assert_explains_identical(sharded, base, _cold_answers(base, lids))
 
 
 @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
@@ -197,6 +240,35 @@ def test_sharded_batch_semijoin_ingest_identical(kind):
         assert sharded.coverage() == base.coverage()
 
 
+@pytest.mark.parametrize("kind", EXECUTOR_KINDS)
+def test_sharded_point_explain_queries_only_the_owning_shard(reference, kind):
+    """Warm non-owning shards answer from their caches: zero queries.
+    The owner runs one query per template that explains the access."""
+    log = reference.db.table("Log")
+    lid_i = log.schema.column_index("Lid")
+    patient_i = log.schema.column_index("Patient")
+    owner_of = {row[lid_i]: row[patient_i] for row in log.rows()}
+    sets = [reference.explained_lids(t) for t in reference.templates()]
+    lids = sorted(owner_of)[::25] + sorted(reference.unexplained_lids())[:5]
+    config = AuditConfig(shards=7, executor_kind=kind)
+    with ShardedAuditService.open(_fresh_db(), config=config) as sharded:
+
+        def queries() -> list[int]:
+            return [s["queries_executed"] for s in sharded.stats()["per_shard"]]
+
+        for lid in lids:
+            before = queries()
+            sharded.explain(lid)
+            spent = [b - a for a, b in zip(before, queries())]
+            owner = sharded.shard_for(owner_of[lid])
+            expected = [0] * 7
+            expected[owner] = sum(lid in s for s in sets)
+            assert spent == expected, lid
+        before = queries()
+        sharded.explain(10**9)
+        assert queries() == before
+
+
 def test_sharded_alerts_fire_in_ingest_order():
     events = []
     config = AuditConfig(shards=3)
@@ -210,7 +282,7 @@ def test_sharded_alerts_fire_in_ingest_order():
         assert len(events) == 4  # ghost patients have no explanations
 
 
-def test_sharded_add_templates_broadcasts(reference):
+def test_sharded_add_templates_broadcasts(reference, cold_reference):
     with ShardedAuditService.open(
         _fresh_db(), templates=(), config=AuditConfig(shards=3)
     ) as sharded:
@@ -219,6 +291,7 @@ def test_sharded_add_templates_broadcasts(reference):
         offered = sharded.add_templates(list(reference.templates()))
         assert offered == len(reference.templates())
         assert sharded.coverage() == reference.coverage()
+        _assert_explains_identical(sharded, reference, cold_reference)
 
 
 def test_sharded_stats_aggregate(reference):

@@ -6,6 +6,8 @@ directed surfaces around that core:
 
 * value round-trips (DATE/BOOL column decoding) and NULL semantics of
   the :class:`~repro.db.sqlbackend.SqlTable` catalog mirror;
+* equality parity for probe values outside a column's type (``'5'``
+  against INTEGER), which SQL comparison affinity would otherwise match;
 * validation-error parity with the in-memory :class:`~repro.db.Table`
   (same exception types, same messages, same partial-insert prefix);
 * the :class:`~repro.db.SqliteDriver` contract — lazy connection,
@@ -107,6 +109,33 @@ class TestSqlTable:
         assert sql.ndv("k") == 1
         assert sql.column_values("k") == [1, None, 1]
         assert len(sql) == 3
+
+    @pytest.mark.parametrize("probe", ["5", "5.0", b"5", 5.0, True, STAMP.isoformat()])
+    def test_foreign_typed_probes_match_like_memory(self, probe):
+        """Python equality decides on every probe surface — a point
+        condition, the semijoin IN set, the catalog lookup — even where
+        SQL comparison affinity would convert the probe and match."""
+        mem = Database("twin")
+        sql = SqlDatabase(SqliteDriver(None), name="twin")
+        for db in (mem, sql):
+            db.create_table(MIXED_SCHEMA).insert_many(
+                [(5, STAMP, True), (1, None, False)]
+            )
+        tvar, key = TupleVar("A", "T"), AttrRef("A", "k")
+        everything = ConjunctiveQuery.build((tvar,), (), (key,))
+        for attr in ("k", "d", "b"):
+            ref = AttrRef("A", attr)
+            point = ConjunctiveQuery.build(
+                (tvar,), (Condition(ref, "=", Literal(probe)),), (key,)
+            )
+            ours, theirs = SqlExecutor(sql), Executor(mem)
+            assert ours.execute(point).rows == theirs.execute(point).rows, attr
+            assert ours.distinct_values_in(
+                everything, key, ref, [probe]
+            ) == theirs.distinct_values_in(everything, key, ref, [probe]), attr
+            assert sql.table("T").lookup(attr, probe) == mem.table("T").lookup(
+                attr, probe
+            ), attr
 
     def test_rows_keep_insertion_order(self):
         _, sql = _mixed_tables()
